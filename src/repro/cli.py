@@ -50,6 +50,7 @@ from .cpu import Machine
 from .isa import Op, disassemble
 from .persist import FileDisk, recover
 from .validate import (
+    VALIDATE_MODES,
     DifferentialHarness,
     RecoveryHarness,
     check_image,
@@ -1222,6 +1223,12 @@ def _validate_env() -> str | None:
     ckpt = os.environ.get("REPRO_CHECKPOINT", "").strip()
     if ckpt and os.path.exists(ckpt) and not os.path.isdir(ckpt):
         return f"REPRO_CHECKPOINT must name a checkpoint directory, got {ckpt!r}"
+    validate = os.environ.get("REPRO_VALIDATE", "").strip()
+    if validate and validate not in VALIDATE_MODES:
+        return (
+            f"REPRO_VALIDATE must be 'off', 'record' or 'strict', "
+            f"got {validate!r}"
+        )
     jit = os.environ.get("REPRO_TRACE_JIT", "").strip()
     if jit and jit not in ("0", "1", "osr-off"):
         return (

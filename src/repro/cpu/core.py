@@ -24,7 +24,9 @@ Two memory fast paths are additionally inlined into the interpreter
 loop (both are exact replicas of the slow path's hit case, which stays
 authoritative): an L2-hit check against the cache's own tag-array set
 dicts, active only while no invariant validator is attached (the same
-condition that binds ``CpuCacheSystem.access_fn``), and the functional
+condition that binds ``CpuCacheSystem.access_fn``; compiled traces keep
+their inline hits under a validator and report each one to it, see
+:mod:`repro.cpu.tracejit`), and the functional
 DRAM transfer via the backing ndarray's ``item``/``__setitem__`` with
 the in-range/aligned test done locally — out-of-range or unaligned
 addresses fall back to :class:`~repro.memory.dram.MemorySystem` for its
@@ -271,6 +273,12 @@ class Core:
             return 0
         if cycle_limit is None:
             cycle_limit = 1 << 62
+        cache = self.cache
+        # An attached validator must see every access: the interpreter
+        # then routes all of them through ``access_fn`` (the validating
+        # wrapper) and traces run their checked codegen.
+        fast_mem = cache.validator is None
+        checked = not fast_mem
         dcache = self._dcache
         dmap = dcache.sync()
         dmap_get = dmap.get
@@ -287,6 +295,8 @@ class Core:
                 # modes): republish entry points under the new policy
                 tjit.osr = osr_on
                 tjit._rebuild_dispatch()
+            # a validator attach/detach since the last slice invalidates
+            tjit.set_checked(checked)
             dispatch = tjit.sync(dcache)
             dispatch_get = dispatch.get
             hot = tjit.hot
@@ -316,7 +326,6 @@ class Core:
         rrb_gr = regs.rrb_gr
         rrb_fr = regs.rrb_fr
         rrb_pr = regs.rrb_pr
-        cache = self.cache
         cache_access = cache.access_fn
         # Inline L2-hit fast path, mirroring ``CpuCacheSystem._access``'s
         # (same transitions, same ``l2_hit`` charge; the del/re-insert is
@@ -325,7 +334,6 @@ class Core:
         # During this core's slice only this core mutates its own L2
         # (snoops go to *other* caches), so the hoisted refs stay live;
         # ``CacheArray.clear`` empties the set dicts in place.
-        fast_mem = cache.validator is None
         if fast_mem:
             l2_sets = cache._l2_sets
             l2_nsets = cache._l2_nsets
@@ -368,7 +376,7 @@ class Core:
 
         try:
             while executed < max_bundles and cycles <= cycle_limit:
-                if dispatch_get is not None and fast_mem:
+                if dispatch_get is not None:
                     if resume is not None:
                         # budget exit from the previous slice: the hint
                         # is single-use and pre-validated by generation
@@ -380,7 +388,11 @@ class Core:
                         resume = None
                     else:
                         ep = dispatch_get(pc)
-                    if ep is not None and ep.trace.sor == sor:
+                    if (
+                        ep is not None
+                        and ep.trace.sor == sor
+                        and ep.trace.checked is checked
+                    ):
                         tr = ep.trace
                         fn = ep.fn
                         if fn is None:
@@ -434,6 +446,10 @@ class Core:
                             countdown = self._sample_countdown
                             sampling = self.sample_interval
                             fast_mem = cache.validator is None
+                            checked = not fast_mem
+                            # the handler may have attached/detached one
+                            tjit.set_checked(checked)
+                            generation = tjit.generation
                             if fast_mem:
                                 l2_sets = cache._l2_sets
                                 l2_nsets = cache._l2_nsets
@@ -1175,6 +1191,11 @@ class Core:
                         countdown = self._sample_countdown
                         sampling = self.sample_interval
                         fast_mem = cache.validator is None
+                        checked = not fast_mem
+                        if tjit is not None:
+                            # the handler may have attached/detached one
+                            tjit.set_checked(checked)
+                            generation = tjit.generation
                         if fast_mem:
                             l2_sets = cache._l2_sets
                             l2_nsets = cache._l2_nsets

@@ -66,9 +66,14 @@ The contract with the generic interpreter (DESIGN.md §9):
   chaos schedule tearing them mid-run — invalidate exactly the trees
   they touch before the next slice executes.
 
-The closure executes only while the memory fast path is legal (no
-coherence validator attached) and while ``sor`` matches the compiled
-rotation geometry; the interpreter guards both at every entry.
+Traces run under a coherence validator too.  Whether one is attached is
+baked into the codegen as a *checked* flag: a checked trace keeps the
+inline L2-hit paths and reports each inline hit to the validator's
+``after_access`` (slow-path accesses already go through the validating
+``access`` wrapper), so the checker sees every access the compiled code
+makes.  A validator attach or detach invalidates resident traces like a
+patch does, and the interpreter enters a trace only while its ``sor``
+and checked mode match the current ones.
 """
 
 from __future__ import annotations
@@ -222,11 +227,12 @@ class CompiledTrace:
 
     __slots__ = (
         "fn", "head", "sor", "addrs", "keys", "n_bundles", "source",
-        "kind", "root", "body", "bpc", "entry_fns", "children", "last_used",
+        "kind", "root", "body", "bpc", "checked", "entry_fns", "children",
+        "last_used",
     )
 
     def __init__(self, fn, head, sor, addrs, keys, n_bundles, source,
-                 kind, body, bpc):
+                 kind, body, bpc, checked=False):
         self.fn = fn
         self.head = head
         self.sor = sor
@@ -238,6 +244,7 @@ class CompiledTrace:
         self.root = head        # tree root head (== head for root nodes)
         self.body = body        # decoded bundles (OSR suffix compilation)
         self.bpc = bpc          # bundles_per_cycle baked into the codegen
+        self.checked = checked  # codegen reports inline hits to a validator
         self.entry_fns: dict[int, object] = {}   # bundle idx -> OSR closure
         self.children: list[int] = []            # promoted side-exit heads
         self.last_used = 0      # entry stamp for cold-first eviction
@@ -256,7 +263,8 @@ class CompiledTrace:
         if fn is None:
             mode = "entry" if self.kind == "loop" else "linear"
             source = _generate(
-                self.head, self.body, self.sor, self.bpc, mode=mode, start=idx
+                self.head, self.body, self.sor, self.bpc, mode=mode, start=idx,
+                checked=self.checked,
             )
             namespace: dict = {}
             exec(  # noqa: S102
@@ -380,8 +388,8 @@ def _walk_linear(start: int, dmap: dict) -> list[tuple[int, tuple]]:
     return body
 
 
-def _make_trace(head, body, sor, bpc, keys, kind, mode):
-    source = _generate(head, body, sor, bpc, mode=mode)
+def _make_trace(head, body, sor, bpc, keys, kind, mode, checked):
+    source = _generate(head, body, sor, bpc, mode=mode, checked=checked)
     namespace: dict = {}
     exec(_compile_source(source, f"<trace {head:#x}>"), namespace)  # noqa: S102
     addrs = tuple(addr for addr, _ in body)
@@ -396,6 +404,7 @@ def _make_trace(head, body, sor, bpc, keys, kind, mode):
         kind=kind,
         body=body,
         bpc=bpc,
+        checked=checked,
     )
 
 
@@ -406,18 +415,20 @@ def compile_trace(
     sor: int,
     bundles_per_cycle: int,
     relax: bool = False,
+    checked: bool = False,
 ) -> CompiledTrace | None:
     """Compile the loop at ``head`` into a step closure, or ``None``.
 
     ``dmap``/``keys`` are the core's synced :class:`DecodeCache` views;
-    ``sor`` and ``bundles_per_cycle`` are baked into the generated code
-    (the interpreter guards ``sor`` equality at every trace entry).
-    ``relax`` admits inner-loop back-edges as side exits (trace trees).
+    ``sor``, ``bundles_per_cycle`` and ``checked`` are baked into the
+    generated code (the interpreter guards ``sor`` and ``checked``
+    equality at every trace entry).  ``relax`` admits inner-loop
+    back-edges as side exits (trace trees).
     """
     try:
         body = _walk(head, dmap, relax=relax)
         return _make_trace(head, body, sor, bundles_per_cycle, keys,
-                           "loop", "loop")
+                           "loop", "loop", checked)
     except _TraceAbort:
         return None
 
@@ -428,6 +439,7 @@ def compile_linear_trace(
     keys: dict,
     sor: int,
     bundles_per_cycle: int,
+    checked: bool = False,
 ) -> CompiledTrace | None:
     """Compile the straight-line region at ``start``, or ``None``.
 
@@ -441,7 +453,7 @@ def compile_linear_trace(
     try:
         body = _walk_linear(start, dmap)
         return _make_trace(start, body, sor, bundles_per_cycle, keys,
-                           "linear", "linear")
+                           "linear", "linear", checked)
     except _TraceAbort:
         return None
 
@@ -453,6 +465,7 @@ def _generate(
     bpc: int,
     mode: str = "loop",
     start: int = 0,
+    checked: bool = False,
 ) -> str:
     """Emit the closure source for one trace.
 
@@ -467,6 +480,10 @@ def _generate(
     * ``"linear"`` — a straight-line region (``start`` slices for OSR
       entry): one pass; the region end or its closing unconditional
       branch returns ``EXIT_LINK``, conditional exits ``EXIT_SIDE``.
+
+    ``checked`` adds one ``after_access`` call to every inline L2-hit
+    branch, so an attached validator observes exactly the accesses the
+    generic interpreter would route through ``CpuCacheSystem.access``.
     """
     sor32 = 32 + sor
     e = _Emit()
@@ -575,6 +592,10 @@ def _generate(
         e(f"line = a >> {LINE_SHIFT}")
         e("lru = l2_sets[line % l2_nsets]")
 
+    def emit_hit_check(kind: int) -> None:
+        if checked:
+            e(f"after_access(cache, line, {kind})")
+
     def emit_slow_access(kind: int, base: int, idx: int, charge: bool) -> None:
         if charge:
             e(f"stall += cache_access(cycles, a, {kind})")
@@ -613,6 +634,7 @@ def _generate(
                 e("del lru[line]")
                 e("lru[line] = None")
                 e("stall += l2_hit_lat")
+                emit_hit_check(LOAD)
                 e.dedent()
                 e("else:")
                 e.indent()
@@ -649,6 +671,7 @@ def _generate(
             e("lru[line] = None")
             e("stall += l2_hit_lat")
             e("hit = True")
+            emit_hit_check(STORE)
             e.dedent()
             e.dedent()
             e("if not hit:")
@@ -684,6 +707,7 @@ def _generate(
             e("mem_events.prefetches += 1")
             e("del lru[line]")
             e("lru[line] = None")
+            emit_hit_check(PREFETCH_EXCL if excl else PREFETCH)
             e.dedent()
             e("else:")
             e.indent()
@@ -834,6 +858,8 @@ def _generate(
       "issue_tick, countdown, sampling, executed, max_bundles, cycle_limit):")
     e.indent()
     e("cache_access = cache.access_fn")
+    if checked:
+        e("after_access = cache.validator.after_access")
     e("l2_sets = cache._l2_sets")
     e("l2_nsets = cache._l2_nsets")
     e("l2_hit_lat = cache._l2_hit")
@@ -902,6 +928,7 @@ class TraceJit:
         "dispatch",
         "sites",
         "osr",
+        "checked",
         "generation",
         "osr_entries",
         "tree_links",
@@ -935,6 +962,9 @@ class TraceJit:
         #: OSR + trace trees enabled (``REPRO_TRACE_JIT=osr-off`` pins
         #: the PR-5 loop-head-only behavior for CI bisection)
         self.osr = True
+        #: codegen mode of every resident trace: True while a coherence
+        #: validator is attached to this core's cache (set_checked)
+        self.checked = False
         #: bumped on every invalidation/eviction — stale-entry fence
         #: for the core's cached budget-resume hint
         self.generation = 0
@@ -968,16 +998,10 @@ class TraceJit:
                     if any(keys.get(a) != k for a, k in zip(tr.addrs, tr.keys))
                 }
                 if stale_roots:
-                    dead = [
+                    self._invalidate([
                         h for h, tr in self.traces.items()
                         if tr.root in stale_roots
-                    ]
-                    for h in dead:
-                        del self.traces[h]
-                        self.invalidations += 1
-                        self.hot[h] = 0
-                    self.generation += 1
-                    self._rebuild_dispatch()
+                    ])
             if self.blacklist:
                 # patched code may have become compilable — retry after
                 # the head re-proves itself hot
@@ -989,6 +1013,29 @@ class TraceJit:
             # code re-proves its exits like a blacklisted head does
             self.sites.clear()
         return self.dispatch
+
+    def set_checked(self, checked: bool) -> None:
+        """Switch the codegen mode when a validator attaches or detaches.
+
+        Every resident trace was compiled in the old mode, so all of
+        them are invalidated exactly as a patch under them would be;
+        hot heads then recompile in the new mode.
+        """
+        if checked == self.checked:
+            return
+        self.checked = checked
+        if self.traces:
+            self._invalidate(list(self.traces))
+        self.sites.clear()
+
+    def _invalidate(self, heads: list[int]) -> None:
+        """Drop the traces at ``heads``; they re-prove hotness first."""
+        for h in heads:
+            del self.traces[h]
+            self.invalidations += 1
+            self.hot[h] = 0
+        self.generation += 1
+        self._rebuild_dispatch()
 
     def _register(self, trace: CompiledTrace) -> None:
         """Publish a trace's entry points into the dispatch map.
@@ -1040,11 +1087,16 @@ class TraceJit:
             return existing
         if head in self.blacklist:
             return None
-        trace = compile_trace(head, dmap, keys, sor, bpc, relax=self.osr)
+        checked = self.checked
+        trace = compile_trace(
+            head, dmap, keys, sor, bpc, relax=self.osr, checked=checked
+        )
         if trace is None and self.osr:
             # not a compilable loop (too long, irregular) — cover its
             # straight-line prefix and chain from there
-            trace = compile_linear_trace(head, dmap, keys, sor, bpc)
+            trace = compile_linear_trace(
+                head, dmap, keys, sor, bpc, checked=checked
+            )
         if trace is None:
             self.blacklist.add(head)
             return None
@@ -1078,11 +1130,16 @@ class TraceJit:
         covered = self.dispatch.get(target)
         if covered is not None and covered.idx == 0:
             return None
-        trace = compile_trace(target, dmap, keys, sor, bpc, relax=True)
+        checked = self.checked
+        trace = compile_trace(
+            target, dmap, keys, sor, bpc, relax=True, checked=checked
+        )
         if trace is None:
             # straight-line fallback: a dedicated region node beats a
             # per-call OSR suffix (idx-0 registration takes the slot)
-            trace = compile_linear_trace(target, dmap, keys, sor, bpc)
+            trace = compile_linear_trace(
+                target, dmap, keys, sor, bpc, checked=checked
+            )
         if trace is None:
             self.blacklist.add(target)
             return None
@@ -1154,9 +1211,14 @@ class TraceJit:
             ):
                 continue
             if kind == "loop":
-                trace = compile_trace(start, dmap, keys, tsor, bpc, relax=True)
+                trace = compile_trace(
+                    start, dmap, keys, tsor, bpc, relax=True,
+                    checked=self.checked,
+                )
             else:
-                trace = compile_linear_trace(start, dmap, keys, tsor, bpc)
+                trace = compile_linear_trace(
+                    start, dmap, keys, tsor, bpc, checked=self.checked
+                )
             if trace is None:
                 continue
             self._adopt(trace, root=root)

@@ -125,6 +125,10 @@ class CoherenceChecker:
         self.checks = 0
         #: shadow directory: line -> {cpu: expected MESI state}
         self.shadow: dict[int, dict[int, int]] = {}
+        #: (cpu, state-map lookup) per cache, hoisted for after_access
+        self._state_gets = [
+            (cache.cpu_id, cache.state.get) for cache in machine.caches
+        ]
         self._attached = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -208,19 +212,21 @@ class CoherenceChecker:
         """Advance the shadow directory for one access by the documented
         transition rules (repro.memory.coherence, hierarchy docstring)."""
         held = prior.get(requester)
+        # a hit returns ``prior`` itself: callers only compare against
+        # it, and after_access re-binds the shadow to a fresh dict
         if kind in (STORE, ATOMIC):
             return {requester: MODIFIED}
         if kind == LOAD_BIAS:
             if held in (EXCLUSIVE, MODIFIED):
-                return dict(prior)  # silent hit, no transition
+                return prior  # silent hit, no transition
             return {requester: MODIFIED}
         if kind == PREFETCH_EXCL:
             if held in (EXCLUSIVE, MODIFIED):
-                return dict(prior)
+                return prior
             return {requester: EXCLUSIVE}
         # LOAD / PREFETCH
         if held is not None:
-            return dict(prior)  # hit: no coherence action
+            return prior  # hit: no coherence action
         expected = {cpu: SHARED for cpu in prior}  # remote M/E demoted to S
         if prior:
             expected[requester] = SHARED
@@ -231,20 +237,32 @@ class CoherenceChecker:
         return expected
 
     def after_access(self, cache: "CpuCacheSystem", line: int, kind: int) -> None:
-        """Validate the global state of ``line`` after one access."""
+        """Validate the global state of ``line`` after one access.
+
+        One pass over the caches builds the holder map and counts M/E
+        owners; the :class:`AccessEvent` is built only once an invariant
+        breaks, and :meth:`check_line` only then words the owner
+        violation.
+        """
         self.checks += 1
-        event = AccessEvent(cache.cpu_id, line, kind)
+        actual = {}
+        owners = 0
+        for cpu, state_get in self._state_gets:
+            st = state_get(line)
+            if st is not None:
+                actual[cpu] = st
+                if st == EXCLUSIVE or st == MODIFIED:
+                    owners += 1
+        requester = cache.cpu_id
+        event = None
+        if owners > 1 or (owners and len(actual) > 1):
+            event = AccessEvent(requester, line, kind)
+            self.check_line(line, event)
 
-        actual = {
-            c.cpu_id: c.state[line]
-            for c in self.machine.caches
-            if line in c.state
-        }
-        self.check_line(line, event)
-
-        held = actual.get(cache.cpu_id)
+        held = actual.get(requester)
         allowed = _POST_STATES.get(kind, ())
         if held not in allowed:
+            event = event or AccessEvent(requester, line, kind)
             self._violate(
                 "requester-state",
                 f"requester holds {state_name(held)} after "
@@ -254,8 +272,9 @@ class CoherenceChecker:
                 event,
             )
 
-        expected = self._expected(cache.cpu_id, self.shadow.get(line, {}), kind)
+        expected = self._expected(requester, self.shadow.get(line, {}), kind)
         if actual != expected:
+            event = event or AccessEvent(requester, line, kind)
             want = ",".join(
                 f"cpu{c}={state_name(s)}" for c, s in sorted(expected.items())
             ) or "no holder"

@@ -12,11 +12,19 @@ byte-identical rollback must restore the original behaviour exactly.
 
 from __future__ import annotations
 
+import traceback
+
+import pytest
+
+from repro.compiler.prefetch import NO_PREFETCH
 from repro.config import itanium2_smp
-from repro.cpu import Machine, Scheduler
+from repro.cpu import Machine, Scheduler, tracejit
 from repro.cpu.tracejit import DEOPT_REASONS, HOT_THRESHOLD, MAX_TRACE_BUNDLES
+from repro.errors import InvariantViolation
 from repro.isa import assemble
 from repro.isa.instructions import Instruction, Op
+from repro.memory.coherence import MODIFIED
+from repro.validate import CoherenceChecker
 from repro.workloads import build_daxpy
 
 
@@ -453,3 +461,88 @@ class TestObservability:
             isinstance(k, str) and "->" in k and v > 0
             for k, v in sites.items()
         )
+
+
+class TestCheckedTraces:
+    """Under a coherence validator traces run their checked codegen:
+    every inline L2 hit is reported to the checker, so a defect in the
+    compiled code is caught while the trace runs."""
+
+    def test_planted_store_hit_defect_caught_inside_trace(self, monkeypatch):
+        # the inline store-hit branch forgets its E -> M transition
+        generate = tracejit._generate
+        transition = f"line_state[line] = {MODIFIED}\n"
+
+        def corrupted(*args, **kwargs):
+            source = generate(*args, **kwargs)
+            assert transition in source or "line_state[line]" not in source
+            return source.replace(transition, "pass\n")
+
+        monkeypatch.setattr(tracejit, "_generate", corrupted)
+        machine = Machine(itanium2_smp(2, scale=4))
+        # without lfetch each y line is loaded in E, then stored to: the
+        # store hits inline and must move the line to M
+        prog = build_daxpy(machine, 1024, 2, outer_reps=4, plan=NO_PREFETCH)
+        with pytest.raises(InvariantViolation) as exc_info:
+            with CoherenceChecker(machine, "strict"):
+                prog.run()
+        violation = exc_info.value
+        assert violation.invariant in ("requester-state", "protocol-model")
+        # raised from inside compiled trace code, not the interpreter
+        frames = traceback.walk_tb(violation.__traceback__)
+        assert any(
+            frame.f_code.co_filename.startswith("<trace") for frame, _ in frames
+        )
+
+    def test_validator_attach_and_detach_switch_trace_mode(self):
+        def scenario(jit):
+            machine = Machine(itanium2_smp(2, scale=4))
+            for core in machine.cores:
+                core.jit_enabled = jit
+                core.osr_enabled = jit
+            prog = build_daxpy(machine, 1024, 2, outer_reps=8)
+            checker = CoherenceChecker(machine, "strict")
+            ticks = []
+            marks = {}
+
+            def hook():
+                ticks.append(None)
+                if len(ticks) == 40:
+                    marks["attach"] = _compiled(machine)
+                    checker.attach()
+                elif len(ticks) == 120:
+                    marks["detach"] = _compiled(machine)
+                    marks["modes"] = _modes(machine)
+                    checker.detach()
+
+            scheduler = Scheduler([th.core for th in prog.threads])
+            scheduler.add_tick_hook(hook)
+            result = prog.run(scheduler=scheduler)
+            observed = (
+                result.cycles, result.retired, result.events.snapshot(),
+                checker.checks, len(ticks),
+            )
+            return observed, marks, machine
+
+        fast, marks, machine = scenario(True)
+        ref, _, _ = scenario(False)
+        assert fast == ref
+        assert ref[3] > 0  # the checker validated the middle window
+        # traces compiled before the attach were invalidated, checked
+        # traces ran while it was attached, unchecked ones after detach
+        assert marks["detach"] > marks["attach"] > 0
+        assert marks["modes"] == {True}
+        assert _modes(machine) <= {False}
+        assert sum(c.trace_jit.invalidations for c in machine.cores) >= 2
+
+
+def _compiled(machine) -> int:
+    return sum(core.trace_jit.compiled_bundles for core in machine.cores)
+
+
+def _modes(machine) -> set:
+    return {
+        trace.checked
+        for core in machine.cores
+        for trace in core.trace_jit.traces.values()
+    }

@@ -180,6 +180,23 @@ class TestEnvValidation:
         assert main(["table1"]) == 0
 
 
+    def test_malformed_repro_validate(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_VALIDATE", "junk")
+        rc = main(["daxpy"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1
+        assert (
+            "repro: error: REPRO_VALIDATE must be 'off', 'record' or "
+            "'strict', got 'junk'" in err
+        )
+
+    @pytest.mark.parametrize("value", ["", "off", " record ", "strict"])
+    def test_repro_validate_accepts_valid_values(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("REPRO_VALIDATE", value)
+        assert main(["table1"]) == 0
+
+
 class TestCheckpointCli:
     def test_checkpoint_then_resume(self, capsys, tmp_path):
         ckpt = str(tmp_path / "ckpt")

@@ -17,7 +17,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.memory.coherence import EXCLUSIVE, MODIFIED, SHARED
-from repro.memory.hierarchy import LOAD, PREFETCH_EXCL, STORE
+from repro.memory.hierarchy import LOAD, PREFETCH, PREFETCH_EXCL, STORE
 from repro.validate import AccessEvent, CoherenceChecker, EvictEvent
 from repro.workloads import build_daxpy
 
@@ -101,6 +101,58 @@ def test_record_mode_accumulates_and_resyncs(smp2):
         assert checker.violations[-1].invariant == "owner-alone"
         smp2.caches[0].state[line(0)] = SHARED
     assert "violation(s)" in checker.summary()
+
+
+def test_one_access_breaking_three_invariants_records_them_in_order(smp2):
+    with CoherenceChecker(smp2, "record") as checker:
+        smp2.caches[0].access(0, addr(0), LOAD)
+        smp2.caches[1].access(1, addr(0), LOAD)  # both sharers in S
+        smp2.caches[0].state[line(0)] = MODIFIED  # corrupt cpu0's copy
+        # one store by cpu1 that left it in S: the owner sits beside a
+        # sharer, the requester is not in M, and the shadow wants {cpu1=M}
+        checker.after_access(smp2.caches[1], line(0), STORE)
+        recorded = list(checker.violations)
+        assert checker.shadow[line(0)] == {0: MODIFIED, 1: SHARED}
+        smp2.caches[0].state[line(0)] = SHARED
+    where = f"line {line(0):#x} states {{cpu0=M,cpu1=S}} on cpu1 store line {line(0):#x}"
+    assert [(v.invariant, str(v)) for v in recorded] == [
+        (
+            "owner-alone",
+            "[owner-alone] cpu0 owns the line in M alongside other holders "
+            + where,
+        ),
+        (
+            "requester-state",
+            "[requester-state] requester holds S after store (allowed: M) "
+            + where,
+        ),
+        (
+            "protocol-model",
+            "[protocol-model] cache states diverge from the shadow directory "
+            "(expected {cpu1=M}) " + where,
+        ),
+    ]
+    for violation in recorded:
+        assert violation.line == line(0)
+        assert violation.states == {0: "M", 1: "S"}
+        assert violation.event == AccessEvent(cpu=1, line=line(0), kind=STORE)
+
+
+def test_requester_left_in_wrong_state_raises_requester_state(smp2):
+    with CoherenceChecker(smp2, "strict") as checker:
+        smp2.caches[0].access(0, addr(0), PREFETCH)  # plain lfetch installs S
+        assert smp2.caches[0].state[line(0)] == SHARED
+        # an lfetch.excl that failed to take ownership
+        with pytest.raises(InvariantViolation) as exc_info:
+            checker.after_access(smp2.caches[0], line(0), PREFETCH_EXCL)
+    violation = exc_info.value
+    assert violation.invariant == "requester-state"
+    assert str(violation) == (
+        "[requester-state] requester holds S after lfetch.excl "
+        f"(allowed: E/M) line {line(0):#x} states {{cpu0=S}} "
+        f"on cpu0 lfetch.excl line {line(0):#x}"
+    )
+    assert violation.event == AccessEvent(cpu=0, line=line(0), kind=PREFETCH_EXCL)
 
 
 def test_silently_dropped_line_diverges_from_shadow(smp2):
