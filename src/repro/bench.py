@@ -23,6 +23,7 @@ portable parts of the report.
 from __future__ import annotations
 
 import platform
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -129,7 +130,7 @@ def run_case(
                 f"non-deterministic run: {benchmark}/{machine_name}/{strategy}"
             )
         sample_rows.append(round(wall, 6))
-    wall_median = sorted(sample_rows)[len(sample_rows) // 2]
+    wall_median = round(statistics.median(sample_rows), 6)
     return {
         "id": f"{machine_name}/{benchmark}/{strategy}",
         "benchmark": benchmark,
@@ -353,7 +354,7 @@ def run_bench(
     benchmarks: Iterable[str] | None = None,
     machines: Iterable[str] | None = None,
     strategies: Iterable[str] | None = None,
-    samples: int = 3,
+    samples: int | None = None,
     quick: bool = False,
     jobs: int = 1,
 ) -> dict:
@@ -366,10 +367,12 @@ def run_bench(
     """
     from .parallel import run_tasks
 
+    if samples is None:
+        # --quick shortens only the default; an explicit count is honoured
+        samples = 2 if quick else 3
     if quick:
         benchmarks = benchmarks or QUICK_BENCHMARKS
         machines = machines or ("smp4",)
-        samples = min(samples, 2)
     else:
         benchmarks = benchmarks or FULL_BENCHMARKS
         machines = machines or tuple(BENCH_MACHINES)

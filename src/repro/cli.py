@@ -1091,14 +1091,16 @@ def _parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--quick", action="store_true",
-        help="small matrix (daxpy+cg on smp4, 2 samples) for CI smoke runs",
+        help="small matrix (daxpy+cg on smp4, 2 samples by default) for CI "
+        "smoke runs",
     )
     bench.add_argument(
         "--out", default="BENCH_perf.json", help="output JSON path"
     )
     bench.add_argument(
-        "--samples", type=int, default=3,
-        help="timing samples per case (median is reported)",
+        "--samples", type=int, default=None,
+        help="timing samples per case (median is reported; default 3, "
+        "2 with --quick)",
     )
     bench.add_argument(
         "--benchmarks", nargs="+", default=None, metavar="BENCH",

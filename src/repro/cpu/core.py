@@ -27,7 +27,7 @@ dicts, active only while no invariant validator is attached (the same
 condition that binds ``CpuCacheSystem.access_fn``; compiled traces keep
 their inline hits under a validator and report each one to it, see
 :mod:`repro.cpu.tracejit`), and the functional
-DRAM transfer via the backing ndarray's ``item``/``__setitem__`` with
+DRAM transfer via the backing store's ``memoryview`` word views with
 the in-range/aligned test done locally — out-of-range or unaligned
 addresses fall back to :class:`~repro.memory.dram.MemorySystem` for its
 precise errors.
@@ -245,20 +245,6 @@ class Core:
         self.sample_interval = 0
         self.on_sample = None
 
-    def _fetch_bundle(self, addr: int):
-        for image in self.images:
-            bundle = image.bundles.get(addr)
-            if bundle is not None:
-                return bundle
-        raise SimulationFault("no code at address", pc=addr, cpu=self.cpu_id)
-
-    def _record_taken(self, branch_pc: int, target: int) -> None:
-        self.taken_branches += 1
-        btb = self.btb
-        btb.append((branch_pc, target))
-        if len(btb) > _BTB_SIZE:
-            del btb[0]
-
     # -- execution --------------------------------------------------------------
 
     def run(self, max_bundles: int, cycle_limit: int | None = None) -> int:
@@ -347,17 +333,14 @@ class Core:
         mem_read_i64 = mem.read_i64
         mem_write_i64 = mem.write_i64
         # Functional data access inlined: the in-range/aligned check runs
-        # here and the ndarray ``item``/``__setitem__`` bound methods do
-        # the transfer (``item`` yields a Python scalar, same as the
-        # ``float()``/``int()`` in MemorySystem); out-of-range or
-        # unaligned addresses fall back to the wrappers for their
-        # precise errors.  The backing arrays are created once in
-        # MemorySystem.__init__ and never rebound.
+        # here and the backing store's word views do the transfer (the
+        # same ``memoryview`` casts MemorySystem's accessors and compiled
+        # traces use); out-of-range or unaligned addresses fall back to
+        # the accessors for their precise errors.  The views are created
+        # once in MemorySystem.__init__ and never rebound.
         mem_cap = mem.capacity
-        mem_f64_item = mem._f64.item
-        mem_f64_set = mem._f64.__setitem__
-        mem_i64_item = mem._i64.item
-        mem_i64_set = mem._i64.__setitem__
+        mem_f64v = mem._f64v
+        mem_i64v = mem._i64v
         btb = self.btb
         btb_append = btb.append
         call_stack = self.call_stack
@@ -534,7 +517,7 @@ class Core:
                                 cache.dear_pending = None
                         off = a - DATA_BASE
                         if 0 <= off < mem_cap and not off & 7:
-                            v = mem_f64_item(off >> 3)
+                            v = mem_f64v[off >> 3]
                         else:
                             v = mem_read_f64(a)
                         if r1 < 32:
@@ -590,7 +573,7 @@ class Core:
                         )
                         off = a - DATA_BASE
                         if 0 <= off < mem_cap and not off & 7:
-                            mem_f64_set(off >> 3, v)
+                            mem_f64v[off >> 3] = v
                         else:
                             mem_write_f64(a, v)
                         if imm:
@@ -707,7 +690,7 @@ class Core:
                                 cache.dear_pending = None
                         off = a - DATA_BASE
                         if 0 <= off < mem_cap and not off & 7:
-                            v = mem_i64_item(off >> 3)
+                            v = mem_i64v[off >> 3]
                         else:
                             v = mem_read_i64(a)
                         if r1 < 32 or r1 >= sor32:
@@ -765,7 +748,7 @@ class Core:
                         if 0 <= off < mem_cap and not off & 7:
                             # registers hold wrapped signed-64 values, but
                             # mirror write_i64's defensive wrap exactly
-                            mem_i64_set(off >> 3, ((v + _B63) & _M64) - _B63)
+                            mem_i64v[off >> 3] = ((v + _B63) & _M64) - _B63
                         else:
                             mem_write_i64(a, v)
                         if imm:

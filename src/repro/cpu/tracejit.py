@@ -49,9 +49,17 @@ The contract with the generic interpreter (DESIGN.md §9):
 
 * **bit-identical observables** — the closure replicates the generic
   loop's cycle accounting, L2-hit fast path, DEAR/BTB updates and
-  retirement arithmetic statement for statement; per-bundle it checks
-  the same ``max_bundles``/``cycle_limit`` budget the scheduler uses to
-  keep cores' clocks entangled, so even *slice boundaries* fall on the
+  sampling countdown bundle for bundle, and its returns carry the same
+  retirement counters the generic loop would hold there;
+* **one budget guard per iteration** — the ``max_bundles``/
+  ``cycle_limit`` budget the scheduler uses to keep cores' clocks
+  entangled is checked once at the top of each iteration (once per pass
+  for OSR suffixes and linear regions): ``safe`` holds when the budget
+  cannot run out before the last bundle starts even if every access
+  hits the L2 (``N`` bundles of headroom and the worst-case all-hit
+  cycle advance).  Only a charged slow-path access can stall without
+  bound, so it clears ``safe``, and every bundle start after it
+  re-checks the exact budget — *slice boundaries* still fall on the
   same bundle as the generic path;
 * **fall back on anything unusual** — predicate/LC/EC divergence simply
   steers the coded exits (the trace is the specialized version; the
@@ -77,6 +85,8 @@ and checked mode match the current ones.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ..isa.binary import BUNDLE_BYTES
 from ..isa.instructions import Op
@@ -169,6 +179,7 @@ _BR_CLOOP = int(Op.BR_CLOOP)
 _BR_WTOP = int(Op.BR_WTOP)
 _FETCHADD8 = int(Op.FETCHADD8)
 
+_B62 = 1 << 62
 _B63 = 1 << 63
 _M64 = (1 << 64) - 1
 _BMASK = ~(BUNDLE_BYTES - 1)
@@ -188,6 +199,12 @@ _FR_DEST_OPS = frozenset((_LDFD, _FMA, _FADD, _FSUB, _FMUL, _SETF, _FABS, _FMAX)
 _PR_DEST_OPS = frozenset(range(_CMP_LT, _CMPI_NE + 1))
 #: memory ops whose nonzero imm post-increments the gr addressed by r2
 _POSTINC_OPS = frozenset((_LD8, _ST8, _LDFD, _STFD, _LFETCH))
+#: ops that can add stall cycles to their bundle (lfetch never does)
+_STALLING = frozenset((_LD8, _ST8, _LDFD, _STFD, _FETCHADD8))
+#: ops with an inline L2-hit path (plus ``ld8`` without the bias hint)
+_INLINE_HIT = frozenset((_LDFD, _STFD, _ST8, _LFETCH))
+#: branch ops (a loop back-edge is one targeting the trace head)
+_BRANCHES = frozenset((_BR, _BR_COND) + _LOOP_BRANCHES)
 
 _SUPPORTED = (
     _GR_DEST_OPS
@@ -198,6 +215,23 @@ _SUPPORTED = (
         _BR, _BR_COND, _BR_CTOP, _BR_CLOOP, _BR_WTOP,
     ))
 )
+
+
+#: Rotating-register index tables, doubled so ``rot[rrb + k]`` replaces
+#: ``base + (rrb + k) % size`` for every ``k`` and rename base in range.
+_ROT_FR = tuple(32 + i % 96 for i in range(2 * 96))
+_ROT_PR = tuple(16 + i % 48 for i in range(2 * 48))
+
+
+@functools.lru_cache(maxsize=128)
+def _rot_gr(sor: int) -> tuple:
+    """The GR table for one rotating-region size (``sor`` <= 96).
+
+    ``alloc`` keeps ``rrb_gr`` when it shrinks the region, so the base
+    may exceed ``sor`` (it stays below 96): the table spans sor + 96
+    slots.
+    """
+    return tuple(32 + i % sor for i in range(sor + 96)) if sor else ()
 
 
 _CODE_CACHE: dict = {}
@@ -220,6 +254,17 @@ def _compile_source(source: str, filename: str):
         code = compile(source, filename, "exec")
         _CODE_CACHE[key] = code
     return code
+
+
+def _exec_trace(source: str, filename: str, sor: int):
+    """``exec`` generated source; return its ``__trace__`` closure.
+
+    The rotation tables reach the closure through its globals, bound to
+    locals once per call, rather than as literals in every source.
+    """
+    namespace = {"ROT_GR": _rot_gr(sor), "ROT_FR": _ROT_FR, "ROT_PR": _ROT_PR}
+    exec(_compile_source(source, filename), namespace)  # noqa: S102
+    return namespace["__trace__"]
 
 
 class CompiledTrace:
@@ -266,12 +311,7 @@ class CompiledTrace:
                 self.head, self.body, self.sor, self.bpc, mode=mode, start=idx,
                 checked=self.checked,
             )
-            namespace: dict = {}
-            exec(  # noqa: S102
-                _compile_source(source, f"<trace {self.head:#x}+{idx}>"),
-                namespace,
-            )
-            fn = namespace["__trace__"]
+            fn = _exec_trace(source, f"<trace {self.head:#x}+{idx}>", self.sor)
             self.entry_fns[idx] = fn
         return fn
 
@@ -307,8 +347,16 @@ class _Emit:
         self.depth -= 1
 
 
-def _wrap64(expr: str) -> str:
-    return f"((({expr}) + {_B63}) & {_M64}) - {_B63}"
+def _wrap64(var: str) -> str:
+    """Signed 64-bit wrap of the local ``var``.
+
+    In-range values (nearly all of them) cost two comparisons instead of
+    three big-integer operations.
+    """
+    return (
+        f"{var} if {-_B63} <= {var} < {_B63} "
+        f"else (({var} + {_B63}) & {_M64}) - {_B63}"
+    )
 
 
 class _TraceAbort(Exception):
@@ -390,11 +438,9 @@ def _walk_linear(start: int, dmap: dict) -> list[tuple[int, tuple]]:
 
 def _make_trace(head, body, sor, bpc, keys, kind, mode, checked):
     source = _generate(head, body, sor, bpc, mode=mode, checked=checked)
-    namespace: dict = {}
-    exec(_compile_source(source, f"<trace {head:#x}>"), namespace)  # noqa: S102
     addrs = tuple(addr for addr, _ in body)
     return CompiledTrace(
-        fn=namespace["__trace__"],
+        fn=_exec_trace(source, f"<trace {head:#x}>", sor),
         head=head,
         sor=sor,
         addrs=addrs,
@@ -458,6 +504,9 @@ def compile_linear_trace(
         return None
 
 
+_SOURCE_CACHE: dict = {}
+
+
 def _generate(
     head: int,
     body: list[tuple[int, tuple]],
@@ -466,6 +515,32 @@ def _generate(
     mode: str = "loop",
     start: int = 0,
     checked: bool = False,
+) -> str:
+    """The closure source for one trace, emitted once per process.
+
+    The source is a pure function of the arguments (decoded bundles
+    included), and every core of a machine, and every machine running
+    the same program, asks for the same traces: emission is memoized
+    like ``compile()`` in :func:`_compile_source`.
+    """
+    key = (head, tuple(body), sor, bpc, mode, start, checked)
+    source = _SOURCE_CACHE.get(key)
+    if source is None:
+        source = _emit_trace(head, body, sor, bpc, mode, start, checked)
+        if len(_SOURCE_CACHE) >= _CODE_CACHE_CAP:
+            del _SOURCE_CACHE[next(iter(_SOURCE_CACHE))]
+        _SOURCE_CACHE[key] = source
+    return source
+
+
+def _emit_trace(
+    head: int,
+    body: list[tuple[int, tuple]],
+    sor: int,
+    bpc: int,
+    mode: str,
+    start: int,
+    checked: bool,
 ) -> str:
     """Emit the closure source for one trace.
 
@@ -481,32 +556,75 @@ def _generate(
       entry): one pass; the region end or its closing unconditional
       branch returns ``EXIT_LINK``, conditional exits ``EXIT_SIDE``.
 
+    Every skeleton guards the slice budget once per iteration (or once
+    per pass): ``safe`` holds when neither ``max_bundles`` nor
+    ``cycle_limit`` can be crossed before the last bundle starts, given
+    that every access hits the L2.  A charged slow-path access clears
+    ``safe``; from then on each bundle start re-checks the exact budget,
+    so slice boundaries fall on the same bundle as in the generic
+    interpreter.  ``retired``/``bundles_executed``/``executed`` advance
+    once per iteration; every ``return`` adds its compile-time offsets.
+
     ``checked`` adds one ``after_access`` call to every inline L2-hit
     branch, so an attached validator observes exactly the accesses the
     generic interpreter would route through ``CpuCacheSystem.access``.
     """
     sor32 = 32 + sor
     e = _Emit()
+    emitted = body if mode == "loop" else body[start:]
+    n_bundles = len(emitted)
+    # Per-bundle shape, one scan: accesses charged an L2 hit, whether
+    # any access can stall, inline-hit sites and loop back-edge sites.
+    # A pass with one inline-hit site skips re-promoting the line it
+    # promoted last (still MRU unless a slow-path access intervened),
+    # and a loop with one back-edge site stops refilling the BTB once
+    # four of its own back-edges fill it: spin-waits are one-bundle,
+    # one-load loops.
+    charged: list[int] = []
+    stalling: list[bool] = []
+    hit_sites = back_edges = 0
+    for _, decoded in emitted:
+        n_hit = 0
+        stall_op = False
+        for entry in decoded[1]:
+            op = entry[1]
+            stall_op = stall_op or op in _STALLING
+            if op in _INLINE_HIT or (op == _LD8 and not entry[8]):
+                hit_sites += 1
+                if op != _LFETCH:
+                    n_hit += 1      # charged l2_hit_lat when it hits
+            elif op in _BRANCHES and entry[7] == head:
+                back_edges += 1
+        charged.append(n_hit)
+        stalling.append(stall_op)
+    # slots retired / bundles completed before the current bundle of
+    # this iteration (loop) or pass (entry, linear)
+    done_slots = done_bundles = 0
+    # whether the current bundle holds an access that can stall
+    stalls = True
 
     # -- operand expressions, resolved at compile time ---------------------
+
+    def plus(name: str, n: int) -> str:
+        return f"{name} + {n}" if n else name
 
     def gr_r(r: int) -> str:
         if r == 0:
             return "0"
         if sor and 32 <= r < sor32:
-            return f"grl[32 + ({r - 32} + rrb_gr) % {sor}]"
+            return f"grl[rot_gr[{plus('rrb_gr', r - 32)}]]"
         return f"grl[{r}]"
 
     def gr_w(r: int) -> str:
         if r == 0:
             raise _TraceAbort("write to r0")
-        if sor and 32 <= r < sor32:
-            return f"grl[32 + ({r - 32} + rrb_gr) % {sor}]"
-        return f"grl[{r}]"
+        return gr_r(r)
 
     def fr_r(r: int) -> str:
-        if r >= 32:
-            return f"frl[32 + ({r - 32} + rrb_fr) % 96]"
+        if r == 32:
+            return "frl[32 + rrb_fr]"
+        if r > 32:
+            return f"frl[rot_fr[rrb_fr + {r - 32}]]"
         return f"frl[{r}]"
 
     def fr_w(r: int) -> str:
@@ -515,8 +633,10 @@ def _generate(
         return fr_r(r)
 
     def pr_r(p: int) -> str:
-        if p >= 16:
-            return f"prl[16 + ({p - 16} + rrb_pr) % 48]"
+        if p == 16:
+            return "prl[16 + rrb_pr]"
+        if p > 16:
+            return f"prl[rot_pr[rrb_pr + {p - 16}]]"
         return f"prl[{p}]"
 
     def pr_w(p: int) -> str:
@@ -524,55 +644,67 @@ def _generate(
             raise _TraceAbort("write to p0")
         return pr_r(p)
 
-    def ret(pc_expr: str, flag: int) -> str:
+    def ret(pc_expr: str, flag: int, slots: int, bundles: int) -> str:
+        """``return`` with the folded counters advanced by static offsets."""
         return (
             f"return ({pc_expr}, lc, ec, rrb_gr, rrb_fr, rrb_pr, cycles, "
-            f"retired, bundles_executed, taken_branches, issue_tick, "
-            f"countdown, executed, iters, {flag})"
+            f"retired + {slots}, bundles_executed + {bundles}, "
+            f"taken_branches, issue_tick, countdown, "
+            f"executed + {bundles}, iters, {flag})"
         )
 
     def emit_retire(n_slots: int, next_pc: int) -> None:
-        """The generic loop's end-of-bundle bookkeeping, constants folded."""
-        e(f"retired += {n_slots}")
+        """The generic loop's end-of-bundle timing and sampling, folded."""
         e("issue_tick += 1")
         e(f"if issue_tick >= {bpc}:")
         e.indent()
         e("issue_tick = 0")
-        e("cycles += 1 + stall")
+        e("cycles += 1 + stall" if stalls else "cycles += 1")
         e.dedent()
-        e("else:")
-        e.indent()
-        e("cycles += stall")
-        e.dedent()
-        e("bundles_executed += 1")
-        e("executed += 1")
+        if stalls:
+            e("else:")
+            e.indent()
+            e("cycles += stall")
+            e.dedent()
         e("if sampling:")
         e.indent()
         e(f"countdown -= {n_slots}")
         e("if countdown <= 0:")
         e.indent()
-        e(ret(str(next_pc), EXIT_SAMPLE))
+        e(ret(str(next_pc), EXIT_SAMPLE, done_slots + n_slots, done_bundles + 1))
         e.dedent()
         e.dedent()
 
     def emit_taken(base: int, idx: int, target: int, link: bool = False) -> None:
         """Taken-branch exit: bookkeeping + retire, then leave or loop."""
         e("taken_branches += 1")
+        # four earlier back-edges of this call left the BTB as four
+        # copies of this pair: appending another changes nothing
+        saturates = target == head and mode == "loop" and back_edges == 1
+        if saturates:
+            e(f"if iters < {_BTB_SIZE}:")
+            e.indent()
         e(f"btb_append(({base + idx}, {target}))")
         e(f"if len(btb) > {_BTB_SIZE}:")
         e.indent()
         e("del btb[0]")
         e.dedent()
+        if saturates:
+            e.dedent()
         emit_retire(idx + 1, target)
+        slots, bundles = done_slots + idx + 1, done_bundles + 1
         if target == head and mode == "loop":
+            e(f"retired += {slots}")
+            e(f"bundles_executed += {bundles}")
+            e(f"executed += {bundles}")
             e("iters += 1")
             e("continue")
         elif target == head and mode == "entry":
             # OSR suffix reached the back-edge: hand off to the
             # steady-state closure through the dispatch map
-            e(ret(str(target), EXIT_LINK))
+            e(ret(str(target), EXIT_LINK, slots, bundles))
         else:
-            e(ret(str(target), EXIT_LINK if link else EXIT_SIDE))
+            e(ret(str(target), EXIT_LINK if link else EXIT_SIDE, slots, bundles))
 
     def emit_rotate() -> None:
         """One register rotation (shared by ctop/wtop arms)."""
@@ -581,9 +713,24 @@ def _generate(
         e("rrb_fr = (rrb_fr - 1) % 96")
         e("rrb_pr = (rrb_pr - 1) % 48")
 
-    def emit_post_inc(r2: int, imm: int) -> None:
-        e(f"na = {_wrap64(f'a + {imm}')}")
-        e(f"{gr_w(r2)} = na")
+    def emit_unsafe() -> None:
+        # an uncapped stall: later bundles re-check the exact budget (a
+        # one-bundle pass has no later bundle and no ``safe`` flag)
+        if n_bundles > 1:
+            e("safe = False")
+
+    def emit_wrapped(dest: str, expr: str) -> None:
+        e(f"w = {expr}")
+        e(f"{dest} = {_wrap64('w')}")
+
+    def emit_post_inc(r2: int, imm: int, in_segment: bool) -> None:
+        # a data access that got this far passed the in-range test or a
+        # MemorySystem accessor (which raises), so ``a`` lies in the data
+        # segment and a modest increment cannot leave the signed range
+        if in_segment and -_B62 < imm < _B62:
+            e(f"{gr_w(r2)} = a + {imm}")
+        else:
+            emit_wrapped(gr_w(r2), f"a + {imm}")
 
     def emit_mem_addr(r2: int) -> None:
         e(f"a = {gr_r(r2)}")
@@ -596,11 +743,30 @@ def _generate(
         if checked:
             e(f"after_access(cache, line, {kind})")
 
+    def emit_promote() -> None:
+        """LRU promotion of an inline hit (skipping a repeat, see above)."""
+        if hit_sites == 1:
+            e("if line != last_line:")
+            e.indent()
+        e("del lru[line]")
+        e("lru[line] = None")
+        if hit_sites == 1:
+            e("last_line = line")
+            e.dedent()
+
+    def emit_after_slow(charge: bool) -> None:
+        if charge:
+            emit_unsafe()
+        if hit_sites == 1:
+            # the slow path may reorder the set
+            e("last_line = None")
+
     def emit_slow_access(kind: int, base: int, idx: int, charge: bool) -> None:
         if charge:
             e(f"stall += cache_access(cycles, a, {kind})")
         else:
             e(f"cache_access(cycles, a, {kind})")
+        emit_after_slow(charge)
         if kind in (LOAD, STORE, LOAD_BIAS):
             e("dp = cache.dear_pending")
             e("if dp is not None:")
@@ -620,7 +786,7 @@ def _generate(
             e.indent()
 
         if op == _LDFD or op == _LD8:
-            reader_fast = "mem_f64_item" if op == _LDFD else "mem_i64_item"
+            view = "mem_f64v" if op == _LDFD else "mem_i64v"
             reader_slow = "mem_read_f64" if op == _LDFD else "mem_read_i64"
             emit_mem_addr(r2)
             biased = op == _LD8 and excl
@@ -631,8 +797,7 @@ def _generate(
                 e("if line in lru:")
                 e.indent()
                 e("mem_events.loads += 1")
-                e("del lru[line]")
-                e("lru[line] = None")
+                emit_promote()
                 e("stall += l2_hit_lat")
                 emit_hit_check(LOAD)
                 e.dedent()
@@ -643,7 +808,7 @@ def _generate(
             e(f"off = a - {DATA_BASE}")
             e("if 0 <= off < mem_cap and not off & 7:")
             e.indent()
-            e(f"v = {reader_fast}(off >> 3)")
+            e(f"v = {view}[off >> 3]")
             e.dedent()
             e("else:")
             e.indent()
@@ -651,7 +816,7 @@ def _generate(
             e.dedent()
             e(f"{(fr_w if op == _LDFD else gr_w)(r1)} = v")
             if imm:
-                emit_post_inc(r2, imm)
+                emit_post_inc(r2, imm, in_segment=True)
         elif op == _STFD or op == _ST8:
             emit_mem_addr(r2)
             emit_l2_probe()
@@ -667,8 +832,7 @@ def _generate(
             e(f"line_state[line] = {MODIFIED}")
             e.dedent()
             e("l2_dirty.add(line)")
-            e("del lru[line]")
-            e("lru[line] = None")
+            emit_promote()
             e("stall += l2_hit_lat")
             e("hit = True")
             emit_hit_check(STORE)
@@ -686,16 +850,16 @@ def _generate(
             e("if 0 <= off < mem_cap and not off & 7:")
             e.indent()
             if op == _STFD:
-                e("mem_f64_set(off >> 3, v)")
+                e("mem_f64v[off >> 3] = v")
             else:
-                e(f"mem_i64_set(off >> 3, {_wrap64('v')})")
+                e(f"mem_i64v[off >> 3] = {_wrap64('v')}")
             e.dedent()
             e("else:")
             e.indent()
             e(f"{'mem_write_f64' if op == _STFD else 'mem_write_i64'}(a, v)")
             e.dedent()
             if imm:
-                emit_post_inc(r2, imm)
+                emit_post_inc(r2, imm, in_segment=True)
         elif op == _LFETCH:
             emit_mem_addr(r2)
             emit_l2_probe()
@@ -705,8 +869,7 @@ def _generate(
             e(f"if {cond}:")
             e.indent()
             e("mem_events.prefetches += 1")
-            e("del lru[line]")
-            e("lru[line] = None")
+            emit_promote()
             emit_hit_check(PREFETCH_EXCL if excl else PREFETCH)
             e.dedent()
             e("else:")
@@ -716,27 +879,28 @@ def _generate(
             )
             e.dedent()
             if imm:
-                emit_post_inc(r2, imm)
+                # a prefetch touches no data: its address is unchecked
+                emit_post_inc(r2, imm, in_segment=False)
         elif op == _FMA:
             e(f"{fr_w(r1)} = {fr_r(r2)} * {fr_r(r3)} + {fr_r(r4)}")
         elif op == _ADD:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} + {gr_r(r3)}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} + {gr_r(r3)}")
         elif op == _ADDI:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} + {imm}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} + {imm}")
         elif op == _SUB:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} - {gr_r(r3)}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} - {gr_r(r3)}")
         elif op == _AND:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} & {gr_r(r3)}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} & {gr_r(r3)}")
         elif op == _OR:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} | {gr_r(r3)}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} | {gr_r(r3)}")
         elif op == _XOR:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} ^ {gr_r(r3)}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} ^ {gr_r(r3)}")
         elif op == _SHL:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} << {imm}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} << {imm}")
         elif op == _SHR:
-            e(f"{gr_w(r1)} = {_wrap64(f'{gr_r(r2)} >> {imm}')}")
+            emit_wrapped(gr_w(r1), f"{gr_r(r2)} >> {imm}")
         elif op == _SHLADD:
-            e(f"{gr_w(r1)} = {_wrap64(f'({gr_r(r2)} << {imm}) + {gr_r(r3)}')}")
+            emit_wrapped(gr_w(r1), f"({gr_r(r2)} << {imm}) + {gr_r(r3)}")
         elif op == _MOV:
             e(f"{gr_w(r1)} = {gr_r(r2)}")
         elif op == _MOVI:
@@ -770,10 +934,11 @@ def _generate(
         elif op == _SETF:
             e(f"{fr_w(r1)} = float({gr_r(r2)})")
         elif op == _GETF:
-            e(f"{gr_w(r1)} = {_wrap64(f'int({fr_r(r2)})')}")
+            emit_wrapped(gr_w(r1), f"int({fr_r(r2)})")
         elif op == _FETCHADD8:
             emit_mem_addr(r2)
             e(f"stall += cache_access(cycles, a, {ATOMIC})")
+            emit_after_slow(charge=True)
             e("old = mem_read_i64(a)")
             e(f"mem_write_i64(a, old + {imm})")
             e(f"{gr_w(r1)} = old")
@@ -853,6 +1018,12 @@ def _generate(
 
     # -- function body -----------------------------------------------------
 
+    # The budget guard's headroom: the pass's bundle count, and the
+    # worst cycle advance before its last bundle starts when every
+    # access hits (issue-pair wraps plus one L2 hit per charged access).
+    n_charged = sum(charged[:-1])
+    issue_wraps = (n_bundles - 1 + bpc - 1) // bpc
+
     e("def __trace__(core, cache, mem, grl, frl, prl, btb, lc, ec, rrb_gr, "
       "rrb_fr, rrb_pr, cycles, retired, bundles_executed, taken_branches, "
       "issue_tick, countdown, sampling, executed, max_bundles, cycle_limit):")
@@ -867,40 +1038,57 @@ def _generate(
     e("l2_dirty = cache.l2_dirty")
     e("mem_events = cache.events")
     e("mem_cap = mem.capacity")
-    e("mem_f64_item = mem._f64.item")
-    e("mem_f64_set = mem._f64.__setitem__")
-    e("mem_i64_item = mem._i64.item")
-    e("mem_i64_set = mem._i64.__setitem__")
+    e("mem_f64v = mem._f64v")
+    e("mem_i64v = mem._i64v")
     e("mem_read_f64 = mem.read_f64")
     e("mem_write_f64 = mem.write_f64")
     e("mem_read_i64 = mem.read_i64")
     e("mem_write_i64 = mem.write_i64")
     e("btb_append = btb.append")
+    e("rot_gr = ROT_GR")
+    e("rot_fr = ROT_FR")
+    e("rot_pr = ROT_PR")
+    if n_bundles > 1:
+        e(f"bmax = max_bundles - {n_bundles}")
+        if n_charged:
+            e(f"cmax = cycle_limit - {issue_wraps} - {n_charged} * l2_hit_lat")
+        else:
+            e(f"cmax = cycle_limit - {issue_wraps}")
+    if hit_sites == 1:
+        e("last_line = None")
     e("iters = 0")
     if mode == "loop":
         e("while True:")
         e.indent()
-    emitted = body if mode == "loop" else body[start:]
+    if n_bundles > 1:
+        e("safe = executed <= bmax and cycles <= cmax")
     for n, (addr, decoded) in enumerate(emitted):
         n_total = decoded[0]
         entries = decoded[1]
+        done_bundles = n
+        stalls = stalling[n]
         e(f"# -- bundle {addr:#x}")
-        e("if executed >= max_bundles or cycles > cycle_limit:")
+        budget = (
+            f"{plus('executed', n)} >= max_bundles or cycles > cycle_limit"
+        )
+        e(f"if not safe and ({budget}):" if n_bundles > 1 else f"if {budget}:")
         e.indent()
-        e(ret(str(addr), EXIT_BUDGET))
+        e(ret(str(addr), EXIT_BUDGET, done_slots, done_bundles))
         e.dedent()
-        e("stall = 0")
+        if stalls:
+            e("stall = 0")
         for entry in entries:
             emit_slot(addr, entry)
         # fall-through retirement (no branch taken in this bundle)
         emit_retire(n_total, addr + BUNDLE_BYTES)
-        if n == len(emitted) - 1:
+        done_slots += n_total
+        if n == n_bundles - 1:
             if mode == "linear":
                 # region end: chain to whatever follows it
-                e(ret(str(addr + BUNDLE_BYTES), EXIT_LINK))
+                e(ret(str(addr + BUNDLE_BYTES), EXIT_LINK, done_slots, n + 1))
             else:
                 # fell past the back-edge bundle: the loop is done
-                e(ret(str(addr + BUNDLE_BYTES), EXIT_LOOP))
+                e(ret(str(addr + BUNDLE_BYTES), EXIT_LOOP, done_slots, n + 1))
     if mode == "loop":
         e.dedent()
     e.dedent()
@@ -1227,12 +1415,6 @@ class TraceJit:
             self.hot[start] = self.threshold
             count += 1
         return count
-
-    def tree_shapes(self) -> list[list]:
-        """Canonical resident tree shapes for profile-DB persistence."""
-        return sorted(
-            [tr.root, tr.head, tr.kind, tr.sor] for tr in self.traces.values()
-        )
 
     def stats(self) -> dict:
         """Observability snapshot (bench / CobraReport fast-path lines)."""

@@ -211,10 +211,6 @@ class DecodeCache:
 
     # -- audit --------------------------------------------------------------
 
-    def bytes_at(self, addr: int) -> bytes | None:
-        """Content key the cache is serving for ``addr`` (post-sync)."""
-        return self.keys.get(addr)
-
     def verify(self) -> list[str]:
         """Compare every served entry against a fresh decode.
 

@@ -3,6 +3,11 @@
 One flat backing store holds the program's data.  Words are 8 bytes;
 the same buffer is viewed as both ``int64`` and ``float64`` (like real
 memory, a float store read back as an integer yields the bit pattern).
+Word transfers go through ``memoryview`` casts of that buffer
+(``_f64v``/``_i64v``): indexing one yields a plain Python ``float`` or
+``int`` at about half the cost of ``ndarray.item``, and stores through
+it are immediately visible in the NumPy views handed out for bulk
+initialization and checks.
 
 For cc-NUMA machines the memory system also assigns pages to home nodes
 with the SGI Altix *first-touch* policy the paper describes: a page is
@@ -59,6 +64,11 @@ class MemorySystem:
         self.capacity = capacity_bytes
         self._i64 = np.zeros(capacity_bytes // _WORD, dtype=np.int64)
         self._f64 = self._i64.view(np.float64)
+        # word views aliasing the same buffer: the data path of the
+        # interpreter, the compiled traces and the accessors below
+        raw = memoryview(self._i64).cast("B")
+        self._f64v = raw.cast("d")
+        self._i64v = raw.cast("q")
         self._align = align
         self._next = DATA_BASE
         self.allocations: dict[str, Allocation] = {}
@@ -101,26 +111,26 @@ class MemorySystem:
         off = addr - DATA_BASE
         if off < 0 or off >= self.capacity or off & 7:
             self._index(addr)
-        return float(self._f64[off >> 3])
+        return self._f64v[off >> 3]
 
     def write_f64(self, addr: int, value: float) -> None:
         off = addr - DATA_BASE
         if off < 0 or off >= self.capacity or off & 7:
             self._index(addr)
-        self._f64[off >> 3] = value
+        self._f64v[off >> 3] = value
 
     def read_i64(self, addr: int) -> int:
         off = addr - DATA_BASE
         if off < 0 or off >= self.capacity or off & 7:
             self._index(addr)
-        return int(self._i64[off >> 3])
+        return self._i64v[off >> 3]
 
     def write_i64(self, addr: int, value: int) -> None:
         off = addr - DATA_BASE
         if off < 0 or off >= self.capacity or off & 7:
             self._index(addr)
         # wrap to signed 64-bit two's complement
-        self._i64[off >> 3] = ((value + (1 << 63)) % (1 << 64)) - (1 << 63)
+        self._i64v[off >> 3] = ((value + (1 << 63)) % (1 << 64)) - (1 << 63)
 
     def view_f64(self, alloc: Allocation) -> np.ndarray:
         """Writable float64 view of an allocation (bulk init / checks)."""

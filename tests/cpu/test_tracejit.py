@@ -189,6 +189,55 @@ class TestEquivalence:
         assert sum(c.trace_jit.compiles for c in machine.cores) >= 1
         assert sum(c.trace_jit.iters for c in machine.cores) > 0
 
+    @pytest.mark.parametrize("pattern", ["spin", "hit-miss"])
+    def test_one_access_loop_keeps_lru_order_and_btb(self, pattern):
+        """A one-load loop skips repeat LRU promotions and BTB refills;
+        L2 recency order, BTB and counters still match the interpreter.
+
+        ``spin`` re-reads one line like a spin-wait, three times over from
+        an outer loop whose back-edge sits in the BTB at each re-entry.
+        ``hit-miss`` alternates a warm line with fresh lines of the same
+        L2 set: each slow-path fill makes another line MRU between two
+        hits on the warm one, and the set overflows, so a stale skip
+        would change what gets evicted.
+        """
+        def run(jit):
+            machine = Machine(itanium2_smp(1))
+            cache = machine.caches[0]
+            stride = cache._l2_nsets * 128
+            arr = machine.mem.alloc("a", 24 * stride)
+            if pattern == "spin":
+                src = (
+                    f"mov r2={arr.base}\nmov r9=0\n.outer:\nmov ar.lc=15\n"
+                    ".loop:\nld8 r3=[r2]\nbr.cloop.sptk .loop\n"
+                    "add r9=1,r9\ncmp.lt p6,p7=r9,3\n(p6) br.cond .outer\nhalt\n"
+                )
+            else:
+                src = (
+                    f"mov r2={arr.base}\nmov r8={arr.base}\n"
+                    f"mov r5={arr.base + stride}\nmov ar.lc=39\n"
+                    ".loop:\nld8 r3=[r2]\ncmp.eq p6,p7=r2,r8\n"
+                    f"(p6) mov r2=r5\n(p6) add r5={stride},r5\n(p7) mov r2=r8\n"
+                    "br.cloop.sptk .loop\nhalt\n"
+                )
+            image = assemble(src)
+            machine.load_image(image)
+            cache.access(0, arr.base, 0)
+            core = machine.cores[0]
+            core.jit_enabled = jit
+            core.start(image.base)
+            Scheduler(machine.cores).run_until_halt(100_000)
+            return core, (
+                [list(lru) for lru in cache._l2_sets],
+                cache.events.snapshot(),
+            )
+
+        ref, ref_cache = run(False)
+        fast, fast_cache = run(True)
+        assert fast.trace_jit.iters > 8
+        assert _arch_state(ref) == _arch_state(fast)
+        assert ref_cache == fast_cache
+
 
 class _SplitRun:
     """Drive the same program through identical run-slice boundaries so a

@@ -42,6 +42,54 @@ class TestRunCase:
         assert len(case["wall_s"]) == 2
 
 
+class TestStatistics:
+    def test_two_samples_report_their_median_not_the_slower(self, monkeypatch):
+        import repro.bench as bench
+
+        # perf_counter pairs bracket each timed sample: walls 1.0 s, 3.0 s
+        ticks = iter([0.0, 1.0, 10.0, 13.0])
+
+        class FakeTime:
+            perf_counter = staticmethod(lambda: next(ticks))
+
+        monkeypatch.setattr(bench, "time", FakeTime)
+        case = run_case("daxpy", "smp4", "none", samples=2)
+        assert case["wall_s"] == [1.0, 3.0]
+        assert case["wall_s_median"] == 2.0
+
+    def test_quick_honours_explicit_samples(self, monkeypatch):
+        import repro.bench as bench
+
+        seen = []
+        monkeypatch.setattr(
+            bench, "run_case",
+            lambda b, m, s, samples: seen.append(samples) or {
+                "sim_cycles": 0, "retired": 0,
+            },
+        )
+        assert run_bench(samples=5, quick=True)["samples_per_case"] == 5
+        assert run_bench(quick=True)["samples_per_case"] == 2
+        assert run_bench(benchmarks=("daxpy",))["samples_per_case"] == 3
+        assert set(seen) == {5, 2, 3}
+
+    def test_cli_passes_samples_through_quick(self, monkeypatch, tmp_path):
+        import repro.cli as cli
+
+        seen = {}
+
+        def fake_run_bench(**kwargs):
+            seen.update(kwargs)
+            return {"cases": [], "ok": True}
+
+        monkeypatch.setattr(cli, "run_bench", fake_run_bench)
+        monkeypatch.setattr(cli, "format_report", lambda report: "")
+        out = tmp_path / "b.json"
+        assert main(["bench", "--quick", "--samples", "7", "--out", str(out)]) == 0
+        assert seen["samples"] == 7 and seen["quick"] is True
+        assert main(["bench", "--quick", "--out", str(out)]) == 0
+        assert seen["samples"] is None   # run_bench picks the quick default
+
+
 class TestRunBench:
     def test_quick_matrix(self):
         report = run_bench(
